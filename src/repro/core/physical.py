@@ -725,11 +725,11 @@ class Concat(PhysicalOp):
 
 
 class Gather(Concat):
-    """Parallel UNION ALL (the Volcano exchange operator): branches run
-    concurrently on a worker pool of degree ``dop`` and rows surface in
-    arrival order.  Row semantics are identical to :class:`Concat`, and
-    so is the fingerprint — parallelism is an execution detail, not a
-    plan identity."""
+    """Parallel UNION ALL (the Volcano exchange operator): branches are
+    costed as spread over ``dop`` slots, and their overlap is credited
+    at run time (:mod:`repro.execution.exchange`).  Row semantics are
+    identical to :class:`Concat`, and so is the fingerprint —
+    parallelism is an execution detail, not a plan identity."""
 
     def __init__(
         self,

@@ -25,7 +25,6 @@ import itertools
 import json
 import threading
 import time
-import weakref
 from contextlib import nullcontext
 from typing import Any, Callable, Dict, Optional, Sequence
 
@@ -298,9 +297,6 @@ class ServerInstance:
         self.governor = ResourceGovernor(
             self.health.clock, metrics=self.metrics
         )
-        #: live exchange schedulers (for close(); workers register via
-        #: ExecutionContext.scheduler_registry and are weakly held)
-        self._schedulers: "weakref.WeakSet" = weakref.WeakSet()
         #: lifecycle: close() refuses new statements and drains these
         self._closed = False
         self._inflight = 0
@@ -311,9 +307,9 @@ class ServerInstance:
     # ==================================================================
     def close(self, timeout_s: float = 5.0) -> None:
         """Shut the engine down: refuse new statements, wait for
-        in-flight ones to drain (up to ``timeout_s``), stop any
-        exchange worker threads still alive, and drop the plan cache.
-        Idempotent; execute() after close raises ExecutionError."""
+        in-flight ones to drain (up to ``timeout_s``), and drop the
+        plan cache.  Idempotent; execute() after close raises
+        ExecutionError."""
         with self._inflight_cond:
             if self._closed:
                 return
@@ -324,11 +320,6 @@ class ServerInstance:
                 if remaining <= 0:
                     break
                 self._inflight_cond.wait(timeout=remaining)
-        for scheduler in list(self._schedulers):
-            try:
-                scheduler.shutdown()
-            except Exception:
-                pass
         self.plan_cache.clear()
         self.metrics.set_gauge("engine.closed", 1.0)
 
@@ -1227,15 +1218,15 @@ class ServerInstance:
             # statement's group; classification is cheap and stable
             group = self.governor.classify(session)
         # -- plan-cache lookup ------------------------------------------
-        # Uncacheable: statements without text (nested INSERT..SELECT),
-        # partial-results mode (plans depend on this instant's breaker
-        # probe schedule), and DMV reads (rows are materialized at bind
-        # time, so a cached plan would freeze the snapshot).
+        # Uncacheable: statements without text (nested INSERT..SELECT)
+        # and partial-results mode (plans depend on this instant's
+        # breaker probe schedule).  DMV reads are refused after binding
+        # (see BoundQuery.volatile): they never reach the cache, and
+        # their lookup counts as neither hit nor miss.
         cacheable = (
             self.plan_cache_enabled
             and sql_text is not None
             and not session.partial_results
-            and "sys." not in sql_text.lower()
         )
         if cacheable and self.query_store_enabled:
             # a Query Store pin always wins over the cache: pinned
@@ -1277,6 +1268,13 @@ class ServerInstance:
             )
             output_names = bound.output_names
             output_cids = [d.cid for d in bound.output_defs]
+            if bound.volatile:
+                # rows materialized at bind time (DMVs): caching the
+                # plan would freeze the snapshot
+                cacheable = False
+                cache_status = None
+            elif cacheable:
+                self.plan_cache.note_miss()
             # a plan built against pruned PV members is this statement's
             # private degraded plan, never shared
             if cacheable and not skipped:
@@ -1306,7 +1304,6 @@ class ServerInstance:
             trace=trace,
             requested_dop=session.parallel_dop,
             max_dop=max_dop,
-            scheduler_registry=self._schedulers,
         )
         # -- memory grant -----------------------------------------------
         # Leased before execution, released unconditionally after; a
@@ -1359,7 +1356,6 @@ class ServerInstance:
                     spool_cache=ctx.spool_cache,
                     requested_dop=session.parallel_dop,
                     max_dop=max_dop,
-                    scheduler_registry=self._schedulers,
                 )
                 # the replacement plan needs its own grant; release the
                 # old lease first so the swap cannot deadlock the pool
@@ -1405,7 +1401,6 @@ class ServerInstance:
         ctx = ExecutionContext(
             subquery_executor=self._run_subquery,
             metrics=self.metrics,
-            scheduler_registry=self._schedulers,
         )
         rows = execute_plan(optimization.plan, ctx)
         ids = list(optimization.plan.output_ids())

@@ -7,17 +7,12 @@ IRowsetIndex + IRowsetLocate, remote queries execute ICommand text (and
 re-validate remote schema versions first — the *delayed schema
 validation* of Section 4.1.5).
 
-Concurrency contract: execution is single-threaded except under a
-``Gather``/``GatherMerge`` exchange (:mod:`repro.execution.exchange`),
-whose scheduler runs each input branch on a worker thread.  Every
-operator *under* an exchange branch is driven by exactly one worker, so
-operators themselves stay lock-free; shared statement state crossing
-the exchange boundary is synchronized at its source — the spool cache
-behind ``ExecutionContext.spool_lock``, telemetry counters behind an
-internal lock, circuit breakers / network stats / the query budget
-behind their own locks.  Exchange workers never touch the consumer's
-iterator; rows cross threads only through the scheduler's bounded
-queues.
+Concurrency contract: a statement executes on its session's thread,
+``Gather``/``GatherMerge`` exchanges included
+(:mod:`repro.execution.exchange` runs every branch on that thread), so
+operators and the ``ExecutionContext`` are lock-free.  What sessions
+share — circuit breakers, channel stats, metrics — is synchronized at
+its source.
 """
 
 from repro.execution.context import ExecutionContext

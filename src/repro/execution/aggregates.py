@@ -7,6 +7,7 @@ from typing import Any, Dict, Iterator, Optional
 from repro.algebra.expressions import AggregateCall
 from repro.core import physical as P
 from repro.execution.context import ExecutionContext
+from repro.types.intervals import with_sortkey_fallback
 from repro.types.values import collation_key
 
 Row = tuple
@@ -37,17 +38,20 @@ class _Accumulator:
                 return
             self.distinct.add(folded)
         self.count += 1
-        if self.total is None:
+        func = self.call.func
+        if func == "min":
+            if self.minimum is None or _lt(value, self.minimum):
+                self.minimum = value
+        elif func == "max":
+            if self.maximum is None or _lt(self.maximum, value):
+                self.maximum = value
+        elif self.total is None:
             self.total = value
         else:
             try:
                 self.total = self.total + value
             except TypeError:
                 pass
-        if self.minimum is None or _lt(value, self.minimum):
-            self.minimum = value
-        if self.maximum is None or _lt(self.maximum, value):
-            self.maximum = value
 
     def result(self) -> Any:
         func = self.call.func
@@ -67,9 +71,7 @@ class _Accumulator:
 
 
 def _lt(a: Any, b: Any) -> bool:
-    from repro.types.intervals import SortKey
-
-    return SortKey(a) < SortKey(b)
+    return with_sortkey_fallback(lambda value_key: value_key(a) < value_key(b))
 
 
 def _group_key(values: tuple) -> tuple:

@@ -10,7 +10,6 @@ tests.
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Callable, Dict, Optional, TYPE_CHECKING
 
 from repro.algebra.expressions import Literal, ScalarExpr, ScalarSubquery
@@ -35,7 +34,6 @@ class ExecutionContext:
         spool_cache: Optional[Dict[Any, list]] = None,
         requested_dop: Optional[int] = None,
         max_dop: Optional[int] = None,
-        scheduler_registry: Optional[Any] = None,
     ):
         #: @parameter values for this execution
         self.params = dict(params or {})
@@ -49,16 +47,11 @@ class ExecutionContext:
         self.spool_cache: Dict[Any, list] = (
             spool_cache if spool_cache is not None else {}
         )
-        #: guards spool_cache lookups/inserts — parallel exchange
-        #: workers may hit the same spool key concurrently
-        self.spool_lock = threading.Lock()
         #: observability recorders (all optional; None = off)
         self.profiler = profiler
         self.metrics = metrics
         self.trace = trace
         #: summary counters, maintained by the record_* hooks below
-        #: (guarded by _telemetry_lock: hooks fire from worker threads)
-        self._telemetry_lock = threading.Lock()
         self.rows_produced = 0
         self.remote_queries_executed = 0
         self.startup_filters_skipped = 0
@@ -77,23 +70,18 @@ class ExecutionContext:
         #: workload-group DOP ceiling (resource governor); clamps both
         #: requested and compiled degrees.  None = ungoverned.
         self.max_dop = max_dop
-        #: engine-owned WeakSet the exchange scheduler registers into
-        #: so Engine.close() can shut worker threads down
-        self.scheduler_registry = scheduler_registry
 
     # ------------------------------------------------------------------
     # telemetry hooks (the single reporting path for all operators)
     # ------------------------------------------------------------------
     def record_rows_produced(self, count: int) -> None:
-        with self._telemetry_lock:
-            self.rows_produced += count
+        self.rows_produced += count
         if self.metrics is not None:
             self.metrics.increment("executor.rows_produced", count)
 
     def record_startup_skip(self, plan: Any) -> None:
         """A startup filter pruned its subtree without opening it."""
-        with self._telemetry_lock:
-            self.startup_filters_skipped += 1
+        self.startup_filters_skipped += 1
         if self.metrics is not None:
             self.metrics.increment("executor.startup_filters_skipped")
         if self.profiler is not None:
@@ -107,8 +95,7 @@ class ExecutionContext:
         self, server_name: str, sql_text: Optional[str] = None
     ) -> None:
         """A SQL statement was shipped to a remote provider."""
-        with self._telemetry_lock:
-            self.remote_queries_executed += 1
+        self.remote_queries_executed += 1
         if self.metrics is not None:
             self.metrics.increment("executor.remote_queries")
         if self.trace is not None:
@@ -119,8 +106,7 @@ class ExecutionContext:
     def record_spool_rescan(self, plan: Any) -> None:
         """A spool served its materialization again without re-opening
         the child (Section 4.1.4)."""
-        with self._telemetry_lock:
-            self.spool_rescans += 1
+        self.spool_rescans += 1
         if self.metrics is not None:
             self.metrics.increment("executor.spool_rescans")
         if self.trace is not None:
@@ -132,13 +118,12 @@ class ExecutionContext:
     ) -> None:
         """A Gather/GatherMerge finished all branches.  ``saved_ms`` is
         the simulated network time hidden by overlap: the sum of branch
-        times minus the critical path (busiest worker slot).  Called on
-        the consumer thread once per exchange execution."""
-        with self._telemetry_lock:
-            self.parallel_saved_ms += saved_ms
-            self.parallel_branches += branches
-            if dop > self.max_dop_used:
-                self.max_dop_used = dop
+        times minus the critical path (busiest slot).  Called once per
+        exchange execution that ran all its branches."""
+        self.parallel_saved_ms += saved_ms
+        self.parallel_branches += branches
+        if dop > self.max_dop_used:
+            self.max_dop_used = dop
         if self.metrics is not None:
             self.metrics.increment("executor.parallel_branches", branches)
             self.metrics.increment("executor.parallel_saved_ms", saved_ms)

@@ -27,7 +27,7 @@ from repro.execution.scans import (
     run_remote_scan,
     run_table_scan,
 )
-from repro.types.intervals import SortKey
+from repro.types.intervals import row_order_key, with_sortkey_fallback
 
 Row = tuple
 
@@ -164,28 +164,22 @@ def _run_project(plan: P.ComputeProject, ctx: ExecutionContext) -> Iterator[Row]
 def _run_sort(plan: P.PhysicalSort, ctx: ExecutionContext) -> Iterator[Row]:
     child_layout = layout_of(plan.child)
     rows = list(open_plan(plan.child, ctx))
-    # stable multi-key sort: apply keys last-to-first
-    for key in reversed(plan.keys):
-        ordinal = child_layout[key.cid]
-        rows.sort(
-            key=lambda row: SortKey(row[ordinal]), reverse=not key.ascending
+    key_ordinals = [(child_layout[key.cid], key.ascending) for key in plan.keys]
+    return iter(with_sortkey_fallback(
+        lambda value_key: sorted(
+            rows, key=row_order_key(key_ordinals, value_key)
         )
-    return iter(rows)
+    ))
 
 
 def _run_spool(plan: P.Spool, ctx: ExecutionContext) -> Iterator[Row]:
     # stable key (not id(plan)) so a bounded replan after a mid-query
     # failure can reuse rows already spooled from a now-down member
     cache_key = plan.cache_key()
-    with ctx.spool_lock:
-        cached = ctx.spool_cache.get(cache_key)
+    cached = ctx.spool_cache.get(cache_key)
     if cached is None:
-        # materialize outside the lock (the build may itself run
-        # remote traffic); racing parallel workers both build, the
-        # first insert wins and both read one consistent rowset
-        rows = list(open_plan(plan.child, ctx))
-        with ctx.spool_lock:
-            cached = ctx.spool_cache.setdefault(cache_key, rows)
+        cached = list(open_plan(plan.child, ctx))
+        ctx.spool_cache[cache_key] = cached
     else:
         ctx.record_spool_rescan(plan)
     return iter(cached)

@@ -6,7 +6,7 @@ from typing import Any, Dict, Iterator, Optional
 
 from repro.core import physical as P
 from repro.execution.context import ExecutionContext
-from repro.types.intervals import SortKey
+from repro.types.intervals import with_sortkey_fallback
 
 Row = tuple
 
@@ -192,27 +192,40 @@ def run_merge_join(plan: P.MergeJoin, ctx: ExecutionContext) -> Iterator[Row]:
         )
     left_rows = list(open_plan(plan.left, ctx))
     right_rows = list(open_plan(plan.right, ctx))
+
+    def join_keys(value_key):
+        left = [value_key(row[left_ordinal]) for row in left_rows]
+        right = [value_key(row[right_ordinal]) for row in right_rows]
+        # each non-NULL key meets the running minimum, so a cross-kind
+        # pair raises here, before any row is joined
+        non_null = [
+            k for k, row in zip(left, left_rows) if row[left_ordinal] is not None
+        ] + [
+            k for k, row in zip(right, right_rows)
+            if row[right_ordinal] is not None
+        ]
+        min(non_null, default=None)
+        return left, right
+
+    left_keys, right_keys = with_sortkey_fallback(join_keys)
     i = j = 0
     while i < len(left_rows):
-        left_value = left_rows[i][left_ordinal]
-        if left_value is None:
+        if left_rows[i][left_ordinal] is None:
             if plan.kind == "anti_semi":
                 yield left_rows[i]
             i += 1
             continue
-        left_key = SortKey(left_value)
-        # advance right cursor
+        left_key = left_keys[i]
+        # advance right cursor (NULL keys sort first and never match)
         while j < len(right_rows) and (
             right_rows[j][right_ordinal] is None
-            or SortKey(right_rows[j][right_ordinal]) < left_key
+            or right_keys[j] < left_key
         ):
             j += 1
         # collect the matching right run
         k = j
         matches = []
-        while k < len(right_rows) and SortKey(
-            right_rows[k][right_ordinal]
-        ) == left_key:
+        while k < len(right_rows) and right_keys[k] == left_key:
             matches.append(right_rows[k])
             k += 1
         if plan.kind == "inner":

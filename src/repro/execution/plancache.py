@@ -146,16 +146,17 @@ class PlanCache:
         stats_generation: int,
         unhealthy_servers: frozenset,
     ) -> Optional[PlanCacheEntry]:
-        """Return a fresh entry for ``key`` or ``None`` (counting a miss).
+        """Return a fresh entry for ``key`` or ``None``.
 
         A stale entry is evicted on sight and counted under the reason
         that made it stale, so an invalidation is always attributable.
+        A ``None`` is not yet a miss: the caller counts one with
+        :meth:`note_miss` once binding shows the statement can be cached
+        (a DMV read never can).
         """
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self.misses += 1
-                self._count("plan_cache.misses")
                 return None
             reason = self._staleness(
                 entry,
@@ -166,8 +167,6 @@ class PlanCache:
             if reason is not None:
                 del self._entries[key]
                 self._note_invalidation(reason)
-                self.misses += 1
-                self._count("plan_cache.misses")
                 self._gauge_size()
                 return None
             self._entries.move_to_end(key)
@@ -175,6 +174,12 @@ class PlanCache:
             self.hits += 1
             self._count("plan_cache.hits")
             return entry
+
+    def note_miss(self) -> None:
+        """Count a lookup that fell through to a full compile."""
+        with self._lock:
+            self.misses += 1
+            self._count("plan_cache.misses")
 
     @staticmethod
     def _staleness(

@@ -10,10 +10,9 @@ domain, wrapped in a distributed transaction (MS DTC, Section 2).
 Concurrency contract: :func:`partition_members` holds no mutable state
 of its own — member metadata (CHECK-constraint domains, schema
 versions) is cached per linked server under that server's metadata
-lock, so parallel exchange workers scanning different members may
-trigger concurrent discovery safely.  Partitioned-view DML remains
-strictly single-threaded (fail-stop/atomic through the DTC); only read
-paths ever run under an exchange.
+lock, so concurrent sessions scanning different members may trigger
+concurrent discovery safely.  Partitioned-view DML is fail-stop and
+atomic through the DTC; only read paths ever run under an exchange.
 """
 
 from repro.federation.partitioned_view import (

@@ -8,12 +8,12 @@ quantity the paper's remote cost model minimizes ("It aims at finding
 plans with minimal network traffic", Section 4.1.3).
 
 Concurrency contract: one :class:`NetworkChannel` per linked server is
-shared by every thread of a statement — parallel exchange workers
-included — so all counter mutation in ``NetworkStats`` happens under
-the channel's internal lock.  Simulated time charges additionally
-accumulate into a per-thread worker account
-(:func:`~repro.network.channel.attach_worker_charges`) so the exchange
-scheduler can compute how much per-branch network time overlapped; the
+shared by every session of an engine, so all counter mutation in
+``NetworkStats`` happens under the channel's internal lock.  Simulated
+time charges additionally accumulate into the calling thread's branch
+account (:func:`~repro.network.channel.attach_worker_charges`), which an
+exchange attaches around each pull from a branch so it can credit how
+much per-branch network time a parallel fetch would overlap; the
 channel itself never sleeps, blocks, or spawns threads.
 """
 

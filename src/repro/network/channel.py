@@ -36,21 +36,26 @@ if TYPE_CHECKING:  # pragma: no cover
 #: default per-row batch size for rowset streaming
 DEFAULT_BATCH_ROWS = 128
 
-#: per-thread charge accumulator for parallel workers (see
-#: :func:`attach_worker_charges`)
+#: per-thread charge accumulator (see :func:`attach_worker_charges`)
 _WORKER = threading.local()
 
 
-def attach_worker_charges(accumulator: list) -> None:
+def attach_worker_charges(accumulator: Optional[list]) -> Optional[list]:
     """Route every subsequent simulated-ms charge made on the calling
-    thread into ``accumulator[0]`` (in addition to normal accounting).
+    thread into ``accumulator[0]`` (in addition to normal accounting);
+    returns the accumulator it replaces.
 
-    The exchange scheduler attaches a fresh one-element list per plan
-    branch so each branch's exact simulated time is known even when
-    several branches share a channel — the basis for the ``saved_ms``
-    latency-hiding credit.  Charges are counters, not sleeps, so this
-    is the only way to observe per-branch overlap."""
+    An exchange attaches its branch's one-element list around each pull
+    from that branch, so each branch's exact simulated time is known
+    even when several branches share a channel — the basis for the
+    ``saved_ms`` overlap credit.  Charges are counters, not sleeps, so
+    this is the only way to observe per-branch time.  An exchange
+    inside a branch attaches its own branches' accumulators and
+    restores the outer one (pass the return value back in) after each
+    pull; its charges land in the innermost accumulator only."""
+    prior = getattr(_WORKER, "charges", None)
     _WORKER.charges = accumulator
+    return prior
 
 
 def detach_worker_charges() -> None:
@@ -209,8 +214,8 @@ class NetworkChannel:
         self.trace: Optional["QueryTrace"] = None
         #: pinned timeout budget — same override semantics as ``trace``
         self.budget: Optional["QueryBudget"] = None
-        #: guards ``stats`` mutations — parallel workers may stream
-        #: through the same channel concurrently
+        #: guards ``stats`` mutations — concurrent sessions may stream
+        #: through the same channel
         self._lock = threading.RLock()
 
     # -- cost primitives ------------------------------------------------------

@@ -124,8 +124,8 @@ class MetricsRegistry:
     def __init__(self, namespace: str = "engine"):
         self.namespace = namespace
         self._instruments: Dict[str, Instrument] = {}
-        #: guards instrument creation — parallel exchange workers may
-        #: first-touch the same counter concurrently; the increments
+        #: guards instrument creation — concurrent sessions may
+        #: first-touch the same counter; the increments
         #: themselves stay unlocked (losing a racy add is tolerable,
         #: losing an instrument to a double-create is not)
         self._lock = threading.Lock()

@@ -22,16 +22,16 @@ channels charged while the span was current (a channel charge
 propagates to every span on the current stack, so parent spans
 accumulate their children's network time inclusively).
 
-The current-span context is an explicit *per-thread* stack.  Pipelined
-operators interleave their pulls, so the operator instrumentation
-re-enters its span around every ``next()`` — whatever runs inside a
-pull (a remote command, a retry backoff, a fault) is attributed to the
-operator that triggered it, not to whichever operator happened to open
-last.  Parallel exchange workers run on their own (initially empty)
-stacks: each opens a ``parallel_branch`` span explicitly parented to
-the consumer-side exchange span (carrying ``parallelism`` / ``worker``
-/ ``branch`` attributes), so remote commands keep nesting correctly
-while concurrent branches never contaminate each other's attribution.
+The current-span context is an explicit stack.  Pipelined operators
+interleave their pulls, so the operator instrumentation re-enters its
+span around every ``next()`` — whatever runs inside a pull (a remote
+command, a retry backoff, a fault) is attributed to the operator that
+triggered it, not to whichever operator happened to open last.  Exchange branches work the
+same way: each opens a ``parallel_branch`` span parented to the
+exchange operator span (carrying ``parallelism`` / ``worker`` /
+``branch`` attributes) and re-enters it around every pull, so remote
+commands nest under their branch and interleaved branches never
+contaminate each other's attribution.
 
 Tracing is off by default.  The engine only allocates a QueryTrace when
 ``tracing_enabled`` is set, and every producer site is guarded by an
@@ -42,7 +42,6 @@ one attribute test per hook.
 from __future__ import annotations
 
 import json
-import threading
 import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Optional
@@ -132,23 +131,9 @@ class QueryTrace:
         self.events: list[TraceEvent] = []
         self._started = time.perf_counter()
         self._next_span_id = 1
-        #: span-id minting is the one cross-thread mutation that can
-        #: corrupt state; the event list itself relies on list.append
-        #: being atomic
-        self._id_lock = threading.Lock()
-        #: the current-span context is *per thread* (innermost span
-        #: last): parallel exchange workers each run their own span
-        #: stack, rooted at their ``parallel_branch`` span, so channel
-        #: charges on a worker attribute to that worker's branch only
-        self._tls = threading.local()
-
-    @property
-    def _stack(self) -> list[SpanEvent]:
-        stack = getattr(self._tls, "stack", None)
-        if stack is None:
-            stack = []
-            self._tls.stack = stack
-        return stack
+        #: the current-span context, innermost span last (a trace
+        #: belongs to one statement, which runs on one thread)
+        self._stack: list[SpanEvent] = []
 
     def _now_ms(self) -> float:
         return (time.perf_counter() - self._started) * 1000.0
@@ -177,16 +162,14 @@ class QueryTrace:
         for scopes that cannot be expressed as a ``with`` block (the
         per-pull operator instrumentation re-enters its span manually).
 
-        ``parent_span_id`` overrides the default parentage (the calling
-        thread's current span): exchange workers start on an empty
-        stack and pass the consumer-side exchange span's id so branch
-        spans keep the plan tree's shape across threads.
+        ``parent_span_id`` overrides the default parentage (the current
+        span): exchange branches pass the exchange operator span's id
+        so branch spans keep the plan tree's shape.
         """
         if parent_span_id is _UNSET:
             parent_span_id = self.current_span_id
-        with self._id_lock:
-            span_id = self._next_span_id
-            self._next_span_id += 1
+        span_id = self._next_span_id
+        self._next_span_id += 1
         span = SpanEvent(
             name,
             self._now_ms(),
@@ -214,11 +197,8 @@ class QueryTrace:
 
     def add_network_ms(self, ms: float) -> None:
         """Attribute simulated network time to every span on the
-        *calling thread's* stack (called by the channel's charging
-        hook).  Worker-thread charges reach only worker-side spans; the
-        exchange consumer mirrors each finished branch's total onto its
-        own stack, which keeps the execute-span invariant (net_ms ==
-        statement simulated_ms) without double counting."""
+        current stack (called by the channel's charging hook), which keeps the execute-span invariant (net_ms ==
+        statement simulated_ms)."""
         for span in self._stack:
             span.net_ms += ms
 

@@ -41,8 +41,8 @@ HALF_OPEN = "half_open"
 class SimulatedClock:
     """Deterministic time source for breaker intervals (simulated ms).
 
-    Thread-safe: parallel exchange workers share the engine's clock
-    through their breakers, so advances are locked (reads of ``now_ms``
+    Thread-safe: concurrent sessions share the engine's clock through
+    their breakers, so advances are locked (reads of ``now_ms``
     are single attribute loads and need no lock)."""
 
     __slots__ = ("now_ms", "_lock")
@@ -69,10 +69,10 @@ class CircuitBreaker:
     a transient fault that a retry masked is a success; retries
     exhausted or a down server is a failure.
 
-    Thread-safe: concurrent exchange workers hitting the same member
-    drive one shared breaker, so every transition runs under a
-    reentrant lock — N workers discovering a down member concurrently
-    produce exactly one trip.
+    Thread-safe: concurrent sessions hitting the same member drive one
+    shared breaker, so every transition runs under a reentrant lock —
+    N sessions discovering a down member concurrently produce exactly
+    one trip.
     """
 
     def __init__(
@@ -254,7 +254,7 @@ class HealthRegistry:
         self.open_interval_ms = open_interval_ms
         self.half_open_successes = half_open_successes
         self._breakers: dict[str, CircuitBreaker] = {}
-        #: guards breaker creation — workers may first-touch a member
+        #: guards breaker creation — sessions may first-touch a member
         #: concurrently and must agree on one breaker instance
         self._lock = threading.Lock()
 

@@ -19,7 +19,6 @@ retries against the same member.
 
 from __future__ import annotations
 
-import threading
 import zlib
 from typing import Any, Callable, Optional, TYPE_CHECKING
 
@@ -99,27 +98,22 @@ class QueryBudget:
     retry backoff) draws it down.  Exhaustion raises
     :class:`~repro.errors.RemoteTimeoutError` with
     ``budget_exhausted=True``, which retry loops treat as final.
-
-    Thread-safe: parallel exchange workers draw down one shared budget,
-    so accumulation is locked (the raise happens outside the lock).
+    One statement runs on one thread, so the budget needs no lock.
     """
 
-    __slots__ = ("limit_ms", "spent_ms", "_lock")
+    __slots__ = ("limit_ms", "spent_ms")
 
     def __init__(self, limit_ms: float):
         self.limit_ms = float(limit_ms)
         self.spent_ms = 0.0
-        self._lock = threading.Lock()
 
     @property
     def remaining_ms(self) -> float:
         return max(0.0, self.limit_ms - self.spent_ms)
 
     def charge(self, ms: float) -> None:
-        with self._lock:
-            self.spent_ms += ms
-            exhausted = self.spent_ms > self.limit_ms
-        if exhausted:
+        self.spent_ms += ms
+        if self.spent_ms > self.limit_ms:
             error = RemoteTimeoutError(
                 f"query timeout budget of {self.limit_ms:g}ms exhausted "
                 f"({self.spent_ms:.2f}ms of simulated network time)"

@@ -192,11 +192,16 @@ class BoundQuery:
         registry: ColumnRegistry,
         output_defs: Sequence[ColumnDef],
         parameters: frozenset[str],
+        volatile: bool = False,
     ):
         self.root = root
         self.registry = registry
         self.output_defs = list(output_defs)
         self.parameters = parameters
+        #: reads a source whose rows are fixed at bind time (a ``sys.*``
+        #: view, directly or through a view): a cached plan would
+        #: replay a stale snapshot
+        self.volatile = volatile
 
     @property
     def output_names(self) -> list[str]:
@@ -214,6 +219,8 @@ class Binder:
         self.default_database = default_database
         self.registry = ColumnRegistry()
         self.parameters: set[str] = set()
+        #: set when a bound source is a bind-time snapshot (sys.* views)
+        self.volatile = False
         self._derived_counter = 0
 
     # ==================================================================
@@ -222,7 +229,8 @@ class Binder:
     def bind_select(self, stmt: ast.SelectStmt) -> BoundQuery:
         root, output_defs = self._bind_select_full(stmt, outer=None)
         return BoundQuery(
-            root, self.registry, output_defs, frozenset(self.parameters)
+            root, self.registry, output_defs, frozenset(self.parameters),
+            volatile=self.volatile,
         )
 
     def _bind_select_full(
@@ -486,6 +494,7 @@ class Binder:
         resolved = self.context.system_view(view_name)
         if resolved is None:
             return None
+        self.volatile = True
         columns, rows = resolved
         column_defs = [
             self.registry.mint(name, type_, True, alias)
@@ -993,6 +1002,7 @@ class Binder:
             if len(output_defs) != 1:
                 raise BindError("scalar subquery must return one column")
             self.parameters.update(inner.parameters)
+            self.volatile = self.volatile or inner.volatile
             return ScalarSubquery(root, output_defs[0].type)
         if isinstance(expr, ast.StarExpr):
             raise BindError("* is only valid in a select list")

@@ -17,8 +17,9 @@ row-for-row (as a collation-aware multiset):
                query tracing AND the Query Store enabled — observers
                must never change answers (no observer effect)
 ``parallel``   same topology, ``SET PARALLEL_DOP 4`` — exchange
-               operators run remote branches on concurrent workers,
-               which must never change answers (DOP invariance)
+               operators run remote branches in LPT slot order and
+               merge sorted ones, which must never change answers
+               (DOP invariance)
 ``cached``     same topology as ``distributed``; every query runs
                *twice* through the same engine — a cold compile, then
                a warm plan-cache hit — and both answers must match

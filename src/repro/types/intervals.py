@@ -14,7 +14,10 @@ interval sets work for numbers, strings, and dates alike.
 
 from __future__ import annotations
 
+import datetime as _dt
 from typing import Any, Iterable, Optional, Sequence
+
+from repro.types.values import collation_key
 
 
 class _Infinity:
@@ -176,6 +179,105 @@ class SortKey:
 def row_sort_key(row: Any) -> tuple[SortKey, ...]:
     """Key function ordering whole rows (tuples) under SQL semantics."""
     return tuple(SortKey(v) for v in row)
+
+
+_NULL_ORDER_KEY = (0,)
+
+
+def order_key(value: Any) -> tuple:
+    """A natively comparable key that orders like :class:`SortKey`.
+
+    Computed once per value, so sorts and merges compare plain tuples
+    instead of calling ``_cmp`` per comparison.  NULLs sort first;
+    bools order as ints; strings fold through :func:`collation_key`;
+    dates widen to midnight datetimes so they order against datetimes.
+    Values from kinds Python cannot order against each other (a string
+    against a number) raise ``TypeError`` on comparison — callers go
+    through :func:`with_sortkey_fallback`.
+    """
+    if value is None:
+        return _NULL_ORDER_KEY
+    kind = type(value)
+    if kind is int or kind is float:
+        return (1, value)
+    if kind is str:
+        return (1, collation_key(value))
+    if kind is bool:
+        return (1, int(value))
+    if kind is _dt.date:
+        return (1, _dt.datetime(value.year, value.month, value.day))
+    return (1, value)
+
+
+_NULL_DESC_ORDER_KEY = (2,)
+
+
+def _desc_order_key(value: Any) -> tuple:
+    """:func:`order_key` inverted, for one DESC key inside an ascending
+    key tuple: numbers negate, other kinds ride an inverting wrapper,
+    and NULLs sort last."""
+    if value is None:
+        return _NULL_DESC_ORDER_KEY
+    kind = type(value)
+    if kind is int or kind is float or kind is bool:
+        return (1, -value)
+    return (1, _Descending(order_key(value)))
+
+
+class _Descending:
+    """Inverts a key's order (see :func:`_desc_order_key`).  Against
+    anything but another ``_Descending`` (a negated number in the same
+    column) it answers ``NotImplemented``, so the comparison raises
+    ``TypeError`` and :func:`with_sortkey_fallback` takes over."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: Any):
+        self.key = key
+
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, _Descending):
+            return NotImplemented
+        return other.key < self.key
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Descending):
+            return NotImplemented
+        return self.key == other.key
+
+
+def row_order_key(
+    key_ordinals: Sequence[tuple[int, bool]], value_key: Any = order_key
+) -> Any:
+    """A key ordering rows by ``(ordinal, ascending)`` pairs, for sorts
+    and merges alike: ascending keys from ``value_key``
+    (:func:`order_key`, or ``SortKey`` for the fallback), DESC ones
+    inverted.  Sorts and merges over it are stable, so ties keep input
+    (or branch) order, as with ``SortKey``."""
+    if value_key is order_key:
+        descending = _desc_order_key
+    else:
+        def descending(value: Any) -> Any:
+            return _Descending(value_key(value))
+    pairs = [
+        (o, value_key if ascending else descending)
+        for o, ascending in key_ordinals
+    ]
+    return lambda row: tuple(fn(row[o]) for o, fn in pairs)
+
+
+def with_sortkey_fallback(run: Any) -> Any:
+    """Return ``run(order_key)``, or ``run(SortKey)`` when that raises
+    ``TypeError``: a column mixing kinds Python cannot order against
+    each other (a string against a number), which ``SortKey``'s
+    coercions decide.  ``run`` must compare every key it will rely on
+    before it has any effect, so rerunning it is safe.  A GatherMerge
+    cannot rerun a stream; it re-keys its heap with
+    ``row_order_key(..., SortKey)`` instead."""
+    try:
+        return run(order_key)
+    except TypeError:
+        return run(SortKey)
 
 
 class Interval:

@@ -107,6 +107,26 @@ class TestJoinSemantics:
         )
         assert len(rows) == len(baseline)
 
+    def test_merge_join_over_mixed_kinds_falls_back_to_sortkey(self):
+        """An int key merged against a varchar key has no native order;
+        the merge join compares through SortKey, which equates 2 and
+        '2', instead of failing."""
+        from repro.algebra.expressions import ColumnDef, Literal
+        from repro.types import INT, varchar
+
+        left = P.ConstScan(
+            [[Literal(v, INT)] for v in (None, 1, 2, 10)],
+            [ColumnDef(1, "k", INT)],
+        )
+        right = P.ConstScan(
+            [[Literal(v, varchar(5))] for v in ("1", "2", "2", "10")],
+            [ColumnDef(2, "s", varchar(5))],
+        )
+        rows = execute_plan(
+            P.MergeJoin(left, right, "inner", 1, 2), ExecutionContext()
+        )
+        assert rows == [(1, "1"), (2, "2"), (2, "2"), (10, "10")]
+
 
 class TestSpool:
     def test_spool_materializes_once(self, engine):

@@ -517,19 +517,21 @@ class TestEngineClose:
         engine.close()
         assert not list(engine.plan_cache.entries())
 
-    def test_close_shuts_down_registered_schedulers(self, engine):
-        _people(engine)
-        engine.execute("SET PARALLEL_DOP 2")
-        engine.execute(
-            "CREATE VIEW both_halves AS "
-            "SELECT id, name FROM people WHERE id <= 6 "
-            "UNION ALL SELECT id, name FROM people WHERE id > 6"
+    def test_close_leaves_no_exchange_threads(self):
+        """Exchanges run on the statement's thread: a Gather query
+        starts no thread, and close() has none to stop."""
+        federation = build_federation(
+            member_count=2, warehouses_per_member=1,
+            customers_per_warehouse=10,
         )
-        result = engine.execute("SELECT id, name FROM both_halves")
-        assert len(result.rows) == 12
-        engine.close()
-        for scheduler in list(engine._schedulers):
-            assert all(not t.is_alive() for t in scheduler.threads)
+        coordinator = federation.coordinator
+        coordinator.execute("SET PARALLEL_DOP 2")
+        threads_before = set(threading.enumerate())
+        result = coordinator.execute("SELECT c_id FROM customer")
+        assert len(result.rows) == 20
+        assert result.dop == 2
+        coordinator.close()
+        assert set(threading.enumerate()) == threads_before
 
 
 # ======================================================================

@@ -1,15 +1,18 @@
-"""Parallel distributed execution: exchange operators and the worker
-pool.
+"""Parallel distributed execution: the exchange operators.
 
 Covers ``SET PARALLEL_DOP`` parsing/validation, optimizer insertion of
 ``Gather``/``GatherMerge`` above remote UNION ALL branches, result
 determinism across DOP levels, order preservation under GatherMerge,
-latency-hiding accounting (``parallel_saved_ms``), plan-fingerprint
-invariance to DOP, worker-side fault injection (transient faults masked
-by in-worker retries; a down member mid-scan triggering the bounded
-replan), cancellation on first error, single breaker trip under
-concurrent workers, and ``parallel_branch`` span attribution.
+overlap accounting (``parallel_saved_ms`` against the LPT busiest-slot
+formula), plan-fingerprint invariance to DOP, branch-side fault
+semantics on the statement's thread (transient faults masked by
+retries inside a branch; a down member mid-scan triggering the bounded
+replan; the first error stopping the remaining branches; concurrent
+sessions tripping a breaker once), early stop under TOP, and
+``parallel_branch`` span attribution.
 """
+
+import threading
 
 import pytest
 
@@ -22,6 +25,8 @@ from repro import (
 )
 from repro.core import physical as P
 from repro.errors import ParseError, ServerUnavailableError, SqlError
+from repro.execution.exchange import assign_slots
+from repro.execution.plancache import plan_references
 from repro.testcheck import worlds
 from repro.workloads.tpcc import build_federation
 
@@ -52,6 +57,39 @@ def pv_world():
 
 def _plan_ops(plan, cls):
     return [node for node in plan.walk() if isinstance(node, cls)]
+
+
+def _four_member_view():
+    """A local view over four remote members of growing size, one
+    channel each; metadata warmed.  Returns (engine, channels by
+    server name)."""
+    local = Engine("local")
+    channels = {}
+    for i in range(4):
+        member = ServerInstance(f"m{i}")
+        member.execute(f"CREATE TABLE t{i} (id int, v int)")
+        table = member.catalog.database().table(f"t{i}")
+        for row_id in range(20 + 10 * i):
+            table.insert((row_id, i))
+        channels[f"m{i}"] = NetworkChannel(f"ch{i}", latency_ms=1.0)
+        local.add_linked_server(f"m{i}", member, channels[f"m{i}"])
+    local.execute(
+        "CREATE VIEW v AS " + " UNION ALL ".join(
+            f"SELECT * FROM m{i}.master.dbo.t{i}" for i in range(4)
+        )
+    )
+    local.execute("SELECT id FROM v")
+    return local, channels
+
+
+def _servers_in_slot_order(gather, dop):
+    """The server each Gather branch reads, in the order the exchange
+    runs the branches (LPT slot order, ties by branch index)."""
+    slots = assign_slots([child.cost for child in gather.children], dop)
+    order = sorted(range(len(slots)), key=slots.__getitem__)
+    return [
+        next(iter(plan_references(gather.children[i])[0])) for i in order
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -189,6 +227,33 @@ class TestAccounting:
         payload = result.to_json()
         assert '"dop": 4' in payload
 
+    @pytest.mark.parametrize("dop", [1, 2, 4])
+    def test_saved_ms_is_the_busiest_slot_formula(self, federation, dop):
+        """saved = sum of branch simulated ms - the busiest slot's load
+        under the LPT assignment of the branches onto ``dop`` slots."""
+        co = federation.coordinator
+        co.execute(f"SET PARALLEL_DOP {dop}")
+        result = co.execute("SELECT c_w_id, c_id, c_balance FROM customer")
+        branch_ms = {
+            server: stats["simulated_ms"]
+            for server, stats in result.network.items()
+        }
+        assert len(branch_ms) == 4
+        gathers = _plan_ops(result.plan, P.Gather)
+        if dop == 1:
+            assert not gathers
+            assert result.parallel_saved_ms == 0.0
+            return
+        (gather,) = gathers
+        slots = assign_slots([child.cost for child in gather.children], dop)
+        loads: dict = {}
+        for child, slot in zip(gather.children, slots):
+            (server,) = plan_references(child)[0]
+            loads[slot] = loads.get(slot, 0.0) + branch_ms[server]
+        expected = sum(branch_ms.values()) - max(loads.values())
+        assert result.parallel_saved_ms == pytest.approx(expected, abs=1e-9)
+        assert result.parallel_saved_ms > 0.0
+
     def test_fingerprint_ignores_dop(self, federation):
         co = federation.coordinator
         query = "SELECT c_w_id, c_id, c_balance FROM customer"
@@ -212,10 +277,12 @@ class TestAccounting:
 
 
 # ----------------------------------------------------------------------
-# worker-side fault injection
+# branch-side faults (branches run on the statement's thread)
 # ----------------------------------------------------------------------
 class TestWorkerFaults:
     def test_transient_faults_masked_inside_workers(self):
+        """Transient faults are retried inside the branch that hit
+        them; the exchange sees only rows."""
         local = Engine("local")
         members = []
         branches = []
@@ -244,7 +311,7 @@ class TestWorkerFaults:
         retries = sum(
             stats["retries"] for stats in result.network.values()
         )
-        assert retries > 0  # the faults actually fired, in workers
+        assert retries > 0  # the faults actually fired, in branches
 
     def test_down_member_mid_scan_replans(self, pv_world):
         local, channels = pv_world
@@ -258,18 +325,33 @@ class TestWorkerFaults:
         assert result.is_partial
         assert len(result.rows) == 80
 
-    def test_cancellation_on_first_error(self, pv_world):
-        local, channels = pv_world
+    def test_cancellation_on_first_error(self):
+        """The first branch error ends the exchange: branches after
+        the failing one in run order never touch their members."""
+        local, channels = _four_member_view()
         local.replan_on_failure = False
         local.execute("SET PARALLEL_DOP 4")
-        channels[1993].fault_injector = FaultInjector(down=True)
+        healthy = local.execute("SELECT id, v FROM v")
+        (gather,) = _plan_ops(healthy.plan, P.Gather)
+        run_order = _servers_in_slot_order(gather, 4)
+        first, failing, *after = run_order
+        channels[failing].fault_injector = FaultInjector(down=True)
+        before = {name: ch.stats.round_trips for name, ch in channels.items()}
         with pytest.raises(ServerUnavailableError):
-            local.execute("SELECT l_orderkey FROM lineitem")
+            local.execute("SELECT id, v FROM v")
+        trips = {
+            name: ch.stats.round_trips - before[name]
+            for name, ch in channels.items()
+        }
+        assert trips[first] > 0
+        assert all(trips[name] == 0 for name in after), (run_order, trips)
 
     def test_concurrent_workers_trip_breaker_once(self):
-        """Two branches of one exchange hit the same down server: the
-        shared breaker must trip exactly once."""
+        """Concurrent sessions, each running an exchange whose two
+        branches hit the same down server, trip its shared breaker
+        exactly once."""
         local = Engine("local")
+        local.health.open_interval_ms = 1e9
         remote = ServerInstance("r0")
         remote.execute("CREATE TABLE a (x int)")
         remote.execute("CREATE TABLE b (x int)")
@@ -283,14 +365,54 @@ class TestWorkerFaults:
         )
         local.execute("SELECT x FROM v")  # warm metadata
         local.replan_on_failure = False
-        local.execute("SET PARALLEL_DOP 2")
         channel.fault_injector = FaultInjector(down=True)
-        with pytest.raises(ServerUnavailableError):
-            local.execute("SELECT x FROM v")
+        sessions = 4
+        barrier = threading.Barrier(sessions)
+        outcomes: list = []
+
+        def run_session(index: int) -> None:
+            session = local.create_session(f"s{index}")
+            session.execute("SET PARALLEL_DOP 2")
+            barrier.wait()
+            try:
+                session.execute("SELECT x FROM v")
+            except ServerUnavailableError:
+                outcomes.append("unavailable")
+            else:
+                outcomes.append("rows-from-a-dead-server")
+
+        threads = [
+            threading.Thread(target=run_session, args=(i,))
+            for i in range(sessions)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert outcomes == ["unavailable"] * sessions
         breaker = local.health.get("r0")
         assert breaker is not None
         assert breaker.state == "open"
         assert breaker.trip_count == 1
+
+    def test_top_over_gather_stops_after_first_row(self):
+        """TOP 1 over a four-branch Gather opens only the branch that
+        produced the row; the other members see no traffic."""
+        local, channels = _four_member_view()
+        local.execute("SET PARALLEL_DOP 4")
+        local.tracing_enabled = True
+        before = {name: ch.stats.round_trips for name, ch in channels.items()}
+        result = local.execute("SELECT TOP 1 id, v FROM v")
+        assert len(result.rows) == 1
+        (gather,) = _plan_ops(result.plan, P.Gather)
+        assert len(gather.children) == 4
+        first = _servers_in_slot_order(gather, 4)[0]
+        touched = {
+            name for name, ch in channels.items()
+            if ch.stats.round_trips > before[name]
+        }
+        assert touched == {first}
+        assert len(result.trace.spans("parallel_branch")) == 1
 
 
 # ----------------------------------------------------------------------

@@ -245,6 +245,62 @@ class TestSettingIsolation:
 
 
 # ----------------------------------------------------------------------
+# DMV reads are never cached, however the sys.* source is spelled
+# ----------------------------------------------------------------------
+class TestDmvReadsBypassThePlanCache:
+    """The binder marks ``sys.*`` sources volatile (their rows are a
+    bind-time snapshot) and the plan cache refuses such statements.
+    Each form below slipped past the old SQL-text substring test, so a
+    re-run replayed the frozen snapshot."""
+
+    def _assert_fresh_on_rerun(self, engine, sql):
+        before = len(engine.execute(sql).rows)
+        engine.create_session("late")
+        rerun = engine.execute(sql)
+        assert rerun.plan_cache_status is None
+        assert len(rerun.rows) == before + 1
+
+    def test_view_over_dmv(self):
+        engine = build_engine()
+        engine.execute(
+            "CREATE VIEW live_sessions AS "
+            "SELECT session_id, name FROM sys.dm_exec_sessions"
+        )
+        self._assert_fresh_on_rerun(
+            engine, "SELECT session_id FROM live_sessions"
+        )
+
+    def test_bracketed_dmv_name(self):
+        self._assert_fresh_on_rerun(
+            build_engine(), "SELECT name FROM [sys].[dm_exec_sessions]"
+        )
+
+    def test_spaced_dmv_name(self):
+        self._assert_fresh_on_rerun(
+            build_engine(), "SELECT name FROM sys . dm_exec_sessions"
+        )
+
+    def test_dmv_in_scalar_subquery(self):
+        # the subquery binds in its own binder; its volatility must
+        # reach the outer statement
+        engine = build_engine()
+        sql = "SELECT (SELECT COUNT(*) FROM sys.dm_exec_sessions) AS n"
+        before = engine.execute(sql).rows[0][0]
+        engine.create_session("late")
+        rerun = engine.execute(sql)
+        assert rerun.plan_cache_status is None
+        assert rerun.rows[0][0] == before + 1
+
+    def test_dmv_reads_count_as_neither_hit_nor_miss(self):
+        engine = build_engine()
+        cache = engine.plan_cache
+        hits, misses = cache.hits, cache.misses
+        for __ in range(3):
+            engine.execute("SELECT name FROM sys.dm_exec_sessions")
+        assert (cache.hits, cache.misses) == (hits, misses)
+
+
+# ----------------------------------------------------------------------
 # exactly-once breaker trips under concurrent discovery
 # ----------------------------------------------------------------------
 class TestBreakerExactlyOnce:
